@@ -1,7 +1,6 @@
 #include "db/database.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <mutex>
 #include <shared_mutex>
@@ -18,7 +17,9 @@ Database::Database(Options options)
       clock_(options.cost_params),
       disk_(options.page_size, &clock_),
       pool_(&disk_, options.buffer_pool_pages, options.buffer_policy),
-      catalog_(options.page_size) {
+      catalog_(options.page_size),
+      catalog_rebuilds_(metrics_.counter("catalog.rebuilds")),
+      catalog_rows_scanned_(metrics_.counter("catalog.rows_scanned")) {
   exec_ctx_.disk = &disk_;
   exec_ctx_.clock = &clock_;
   exec_ctx_.memory_pages = options.memory_pages;
@@ -135,6 +136,7 @@ Status Database::CreateTable(const std::string& name, Schema schema) {
     return Status::InvalidArgument("table needs at least one column");
   }
   TableHolder holder;
+  holder.stats = TableStatsBuilder(schema.num_columns());
   holder.relation = Relation(std::move(schema));
   tables_[name] = std::move(holder);
   InvalidateCatalog();
@@ -186,6 +188,7 @@ Status Database::Insert(const std::string& name, Row row) {
         return Status::Internal("unresolved index type");
     }
   }
+  table.stats.Add(row);
   table.relation.Add(std::move(row));
   InvalidateCatalog();
   if (reuse_cache_ != nullptr) reuse_cache_->InvalidateTable(name);
@@ -201,7 +204,6 @@ Status Database::BulkLoad(const std::string& name, Relation relation) {
   for (Row& row : relation.mutable_rows()) {
     MMDB_RETURN_IF_ERROR(Insert(name, std::move(row)));
   }
-  InvalidateCatalog();
   return Status::OK();
 }
 
@@ -440,13 +442,15 @@ Status Database::IndexRangeScanLocked(
 const Catalog& Database::catalog() {
   // Double-checked rebuild: concurrent read statements may all ask for the
   // catalog; only the first rebuilds (under catalog_mu_), the rest either
-  // wait on the mutex or see the release-published clean flag.
+  // wait on the mutex or see the release-published clean flag. A rebuild
+  // copies each table's write-path statistics: O(tables x columns), no
+  // row is read.
   if (!catalog_dirty_.load(std::memory_order_acquire)) return catalog_;
   std::lock_guard<std::mutex> lock(catalog_mu_);
   if (catalog_dirty_.load(std::memory_order_relaxed)) {
     catalog_ = Catalog(options_.page_size);
     for (const auto& [name, table] : tables_) {
-      Status s = catalog_.RegisterTable(name, &table.relation);
+      Status s = catalog_.RegisterTable(name, &table.relation, table.stats);
       MMDB_CHECK_MSG(s.ok(), s.ToString().c_str());
       for (const auto& [column, index] : table.indexes) {
         IndexKind kind = IndexKind::kHash;
@@ -466,6 +470,8 @@ const Catalog& Database::catalog() {
         MMDB_CHECK_MSG(s.ok(), s.ToString().c_str());
       }
     }
+    catalog_rebuilds_->Add(1);
+    catalog_rows_scanned_->Add(catalog_.rows_scanned());
     catalog_dirty_.store(false, std::memory_order_release);
   }
   return catalog_;
@@ -594,22 +600,6 @@ StatusOr<std::string> Database::Explain(const Query& query) {
   return plan->ToString();
 }
 
-bool Database::IsWriteSql(const std::string& sql) {
-  size_t i = 0;
-  while (i < sql.size() &&
-         std::isspace(static_cast<unsigned char>(sql[i]))) {
-    ++i;
-  }
-  std::string kw;
-  while (i < sql.size() &&
-         std::isalpha(static_cast<unsigned char>(sql[i]))) {
-    kw.push_back(static_cast<char>(
-        std::toupper(static_cast<unsigned char>(sql[i]))));
-    ++i;
-  }
-  return kw == "CREATE" || kw == "INSERT" || kw == "UPDATE";
-}
-
 StatusOr<Database::SqlResult> Database::ExecuteSql(const std::string& sql) {
   TxnId durable_txn = kInvalidTxn;
   StatusOr<SqlResult> result = ExecuteSqlPreCommit(sql, &durable_txn);
@@ -620,37 +610,43 @@ StatusOr<Database::SqlResult> Database::ExecuteSql(const std::string& sql) {
 StatusOr<Database::SqlResult> Database::ExecuteSqlPreCommit(
     const std::string& sql, TxnId* durable_txn) {
   *durable_txn = kInvalidTxn;
-  if (IsWriteSql(sql)) {
-    // Parse under the SHARED latch (the parser only reads the catalog), so
-    // concurrent writers overlap their parse work and the exclusive
-    // section shrinks to the statement's actual apply. Name resolution is
-    // re-done under the exclusive latch, so a DDL racing in between can
-    // only turn this statement into a clean error, never corrupt it.
-    StatusOr<ParsedStatement> parsed = [&]() -> StatusOr<ParsedStatement> {
-      std::shared_lock<std::shared_mutex> shared(latch_);
-      return ParseStatement(sql, catalog());
-    }();
-    if (!parsed.ok()) return parsed.status();
-    std::unique_lock<std::shared_mutex> lock(latch_);
-    StatusOr<SqlResult> result = ExecuteSqlWriteLocked(*parsed);
-    // §5.2 pre-commit at statement granularity: with the transactional
-    // plane enabled, a successful write statement appends a commit record
-    // while still holding the latch — log order therefore matches latch
-    // order, so a later statement that read this one's effects commits
-    // after it — and leaves the durability wait to the caller. Concurrent
-    // sessions' waits then land in the same group-commit flush, the
-    // paper's mechanism for beating one-log-write-per-commit.
-    if (result.ok() && txn_enabled_ && wal_ != nullptr) {
-      LogRecord rec;
-      rec.type = LogRecordType::kCommit;
-      rec.txn_id = next_sql_stmt_txn_.fetch_add(1, std::memory_order_relaxed);
-      wal_->AppendCommit(rec, {});
-      *durable_txn = rec.txn_id;
-    }
-    return result;
+  // Every statement parses once, under the SHARED latch (the parser only
+  // reads the catalog). A read runs on under that latch; a write releases
+  // it and applies under the exclusive latch, so concurrent writers
+  // overlap their parse work and the exclusive section shrinks to the
+  // statement's actual apply. Name resolution is re-done under the
+  // exclusive latch, so a DDL racing in between can only turn this
+  // statement into a clean error, never corrupt it.
+  std::shared_lock<std::shared_mutex> shared(latch_);
+  MMDB_ASSIGN_OR_RETURN(ParsedStatement stmt, ParseStatement(sql, catalog()));
+  switch (stmt.kind) {
+    case ParsedStatement::Kind::kSelect:
+    case ParsedStatement::Kind::kExplain:
+    case ParsedStatement::Kind::kExplainAnalyze:
+      return ExecuteSqlReadLocked(stmt);
+    case ParsedStatement::Kind::kCreateTable:
+    case ParsedStatement::Kind::kInsert:
+    case ParsedStatement::Kind::kUpdate:
+      break;
   }
-  std::shared_lock<std::shared_mutex> lock(latch_);
-  return ExecuteSqlReadLocked(sql);
+  shared.unlock();
+  std::unique_lock<std::shared_mutex> lock(latch_);
+  StatusOr<SqlResult> result = ExecuteSqlWriteLocked(std::move(stmt));
+  // §5.2 pre-commit at statement granularity: with the transactional
+  // plane enabled, a successful write statement appends a commit record
+  // while still holding the latch — log order therefore matches latch
+  // order, so a later statement that read this one's effects commits
+  // after it — and leaves the durability wait to the caller. Concurrent
+  // sessions' waits then land in the same group-commit flush, the
+  // paper's mechanism for beating one-log-write-per-commit.
+  if (result.ok() && txn_enabled_ && wal_ != nullptr) {
+    LogRecord rec;
+    rec.type = LogRecordType::kCommit;
+    rec.txn_id = next_sql_stmt_txn_.fetch_add(1, std::memory_order_relaxed);
+    wal_->AppendCommit(rec, {});
+    *durable_txn = rec.txn_id;
+  }
+  return result;
 }
 
 void Database::WaitSqlDurable(TxnId txn) {
@@ -675,8 +671,7 @@ bool Database::RowLockEligible(
 }
 
 StatusOr<Database::SqlResult> Database::ExecuteSqlReadLocked(
-    const std::string& sql) {
-  MMDB_ASSIGN_OR_RETURN(ParsedStatement stmt, ParseStatement(sql, catalog()));
+    const ParsedStatement& stmt) {
   // Statement-local context: each concurrent reader charges a private
   // clock and metrics shard, merged when the statement finishes. Addition
   // commutes, so N statements produce the same totals in any interleaving
@@ -699,125 +694,105 @@ StatusOr<Database::SqlResult> Database::ExecuteSqlReadLocked(
   } merge{this, &local_clock, &local_metrics};
 
   SqlResult result;
-  switch (stmt.kind) {
-    case ParsedStatement::Kind::kExplain: {
-      MMDB_ASSIGN_OR_RETURN(result.plan_text, Explain(stmt.query));
-      return result;
-    }
-    case ParsedStatement::Kind::kExplainAnalyze: {
-      OptimizerOptions opts;
-      opts.memory_pages = options_.memory_pages;
-      opts.cost_params = options_.cost_params;
-      opts.w_cpu = options_.w_cpu;
-      opts.hash_only = options_.planner_hash_only;
-      opts.vectorize = options_.vectorize;
-      opts.reuse_cache = reuse_cache_.get();
-      opts.reuse_cost_discounts = options_.reuse_plan_discounts;
-      Optimizer optimizer(&catalog(), opts);
-      MMDB_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan,
-                            optimizer.Optimize(stmt.query));
-      PlanRunTrace trace;
-      MMDB_ASSIGN_OR_RETURN(
-          Relation rel, ExecutePlan(*plan, catalog(), &ctx, this, &trace));
-      std::string text = RenderAnalyzedPlan(*plan, trace);
-      if (stmt.aggregate.has_value() || stmt.distinct) {
-        // Aggregation runs on top of the plan tree (§4: it composes freely
-        // over any join order); summarize it as one extra line so EXPLAIN
-        // ANALYZE covers the whole statement.
-        AggStats agg_stats;
-        const double seconds_before = local_clock.Seconds();
-        if (stmt.aggregate.has_value()) {
-          MMDB_ASSIGN_OR_RETURN(
-              result.relation,
-              HashAggregate(rel, *stmt.aggregate, &ctx, &agg_stats));
-        } else {
-          std::vector<int> all(size_t(rel.schema().num_columns()));
-          for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-          MMDB_ASSIGN_OR_RETURN(
-              result.relation, ProjectDistinct(rel, all, &ctx, &agg_stats));
-        }
-        char buf[160];
-        std::snprintf(
-            buf, sizeof(buf),
-            "%s\n    (actual groups=%lld %s partitions=%lld cost=%.3fs)\n",
-            stmt.aggregate.has_value() ? "HashAggregate" : "ProjectDistinct",
-            static_cast<long long>(agg_stats.groups),
-            agg_stats.one_pass ? "one-pass" : "partitioned",
-            static_cast<long long>(agg_stats.partitions),
-            local_clock.Seconds() - seconds_before);
-        text += buf;
-      } else {
-        result.relation = std::move(rel);
-      }
-      result.plan_text = std::move(text);
-      result.analyzed = true;
-      return result;
-    }
-    case ParsedStatement::Kind::kSelect: {
-      MMDB_ASSIGN_OR_RETURN(QueryResult qr, ExecuteWith(stmt.query, &ctx));
-      result.plan_text = std::move(qr.plan_text);
+  if (stmt.kind == ParsedStatement::Kind::kExplain) {
+    MMDB_ASSIGN_OR_RETURN(result.plan_text, Explain(stmt.query));
+    return result;
+  }
+  if (stmt.kind == ParsedStatement::Kind::kExplainAnalyze) {
+    OptimizerOptions opts;
+    opts.memory_pages = options_.memory_pages;
+    opts.cost_params = options_.cost_params;
+    opts.w_cpu = options_.w_cpu;
+    opts.hash_only = options_.planner_hash_only;
+    opts.vectorize = options_.vectorize;
+    opts.reuse_cache = reuse_cache_.get();
+    opts.reuse_cost_discounts = options_.reuse_plan_discounts;
+    Optimizer optimizer(&catalog(), opts);
+    MMDB_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan,
+                          optimizer.Optimize(stmt.query));
+    PlanRunTrace trace;
+    MMDB_ASSIGN_OR_RETURN(
+        Relation rel, ExecutePlan(*plan, catalog(), &ctx, this, &trace));
+    std::string text = RenderAnalyzedPlan(*plan, trace);
+    if (stmt.aggregate.has_value() || stmt.distinct) {
+      // Aggregation runs on top of the plan tree (§4: it composes freely
+      // over any join order); summarize it as one extra line so EXPLAIN
+      // ANALYZE covers the whole statement.
+      AggStats agg_stats;
+      const double seconds_before = local_clock.Seconds();
       if (stmt.aggregate.has_value()) {
         MMDB_ASSIGN_OR_RETURN(
             result.relation,
-            HashAggregate(qr.relation, *stmt.aggregate, &ctx));
-      } else if (stmt.distinct) {
-        std::vector<int> all(size_t(qr.relation.schema().num_columns()));
-        for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-        MMDB_ASSIGN_OR_RETURN(result.relation,
-                              ProjectDistinct(qr.relation, all, &ctx));
+            HashAggregate(rel, *stmt.aggregate, &ctx, &agg_stats));
       } else {
-        result.relation = std::move(qr.relation);
+        std::vector<int> all(size_t(rel.schema().num_columns()));
+        for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+        MMDB_ASSIGN_OR_RETURN(
+            result.relation, ProjectDistinct(rel, all, &ctx, &agg_stats));
       }
-      return result;
+      char buf[160];
+      std::snprintf(
+          buf, sizeof(buf),
+          "%s\n    (actual groups=%lld %s partitions=%lld cost=%.3fs)\n",
+          stmt.aggregate.has_value() ? "HashAggregate" : "ProjectDistinct",
+          static_cast<long long>(agg_stats.groups),
+          agg_stats.one_pass ? "one-pass" : "partitioned",
+          static_cast<long long>(agg_stats.partitions),
+          local_clock.Seconds() - seconds_before);
+      text += buf;
+    } else {
+      result.relation = std::move(rel);
     }
-    case ParsedStatement::Kind::kCreateTable:
-    case ParsedStatement::Kind::kInsert:
-    case ParsedStatement::Kind::kUpdate:
-      return Status::Internal("statement classification mismatch: write "
-                              "statement on the read path");
+    result.plan_text = std::move(text);
+    result.analyzed = true;
+    return result;
   }
-  return Status::Internal("unhandled statement kind");
+  // kSelect.
+  MMDB_ASSIGN_OR_RETURN(QueryResult qr, ExecuteWith(stmt.query, &ctx));
+  result.plan_text = std::move(qr.plan_text);
+  if (stmt.aggregate.has_value()) {
+    MMDB_ASSIGN_OR_RETURN(
+        result.relation,
+        HashAggregate(qr.relation, *stmt.aggregate, &ctx));
+  } else if (stmt.distinct) {
+    std::vector<int> all(size_t(qr.relation.schema().num_columns()));
+    for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+    MMDB_ASSIGN_OR_RETURN(result.relation,
+                          ProjectDistinct(qr.relation, all, &ctx));
+  } else {
+    result.relation = std::move(qr.relation);
+  }
+  return result;
 }
 
 StatusOr<Database::SqlResult> Database::ExecuteSqlWriteLocked(
-    const ParsedStatement& stmt_in) {
-  ParsedStatement stmt = stmt_in;
+    ParsedStatement stmt) {
   SqlResult result;
-  switch (stmt.kind) {
-    case ParsedStatement::Kind::kCreateTable: {
-      MMDB_RETURN_IF_ERROR(CreateTable(stmt.table_name, stmt.schema));
-      return result;
-    }
-    case ParsedStatement::Kind::kInsert: {
-      MMDB_ASSIGN_OR_RETURN(const Relation* table, GetTable(stmt.table_name));
-      const Schema& schema = table->schema();
-      for (Row& row : stmt.rows) {
-        // Numeric coercion: integer literals into DOUBLE columns.
-        if (static_cast<int>(row.size()) == schema.num_columns()) {
-          for (int c = 0; c < schema.num_columns(); ++c) {
-            if (schema.column(c).type == ValueType::kDouble &&
-                std::holds_alternative<int64_t>(row[size_t(c)])) {
-              row[size_t(c)] =
-                  Value{double(std::get<int64_t>(row[size_t(c)]))};
-            }
+  if (stmt.kind == ParsedStatement::Kind::kCreateTable) {
+    MMDB_RETURN_IF_ERROR(CreateTable(stmt.table_name, stmt.schema));
+    return result;
+  }
+  if (stmt.kind == ParsedStatement::Kind::kInsert) {
+    MMDB_ASSIGN_OR_RETURN(const Relation* table, GetTable(stmt.table_name));
+    const Schema& schema = table->schema();
+    for (Row& row : stmt.rows) {
+      // Numeric coercion: integer literals into DOUBLE columns.
+      if (static_cast<int>(row.size()) == schema.num_columns()) {
+        for (int c = 0; c < schema.num_columns(); ++c) {
+          if (schema.column(c).type == ValueType::kDouble &&
+              std::holds_alternative<int64_t>(row[size_t(c)])) {
+            row[size_t(c)] = Value{double(std::get<int64_t>(row[size_t(c)]))};
           }
         }
-        MMDB_RETURN_IF_ERROR(Insert(stmt.table_name, std::move(row)));
-        ++result.rows_affected;
       }
-      return result;
+      MMDB_RETURN_IF_ERROR(Insert(stmt.table_name, std::move(row)));
+      ++result.rows_affected;
     }
-    case ParsedStatement::Kind::kUpdate: {
-      MMDB_RETURN_IF_ERROR(ExecuteUpdateLocked(stmt, &result.rows_affected));
-      return result;
-    }
-    case ParsedStatement::Kind::kSelect:
-    case ParsedStatement::Kind::kExplain:
-    case ParsedStatement::Kind::kExplainAnalyze:
-      return Status::Internal("statement classification mismatch: read "
-                              "statement on the write path");
+    return result;
   }
-  return Status::Internal("unhandled statement kind");
+  // kUpdate.
+  MMDB_RETURN_IF_ERROR(ExecuteUpdateLocked(stmt, &result.rows_affected));
+  return result;
 }
 
 Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
@@ -911,6 +886,13 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
     }
   }
   disk_.MergeClock(local_clock);
+  // Fold the assigned values into the table's statistics. Every matched
+  // row took the same literal, so one fold per SET clause covers them all.
+  if (matched > 0) {
+    for (const std::pair<int, const Value*>& set : sets) {
+      table.stats.AddValue(set.first, *set.second);
+    }
+  }
   // Rebuild any index whose key column was assigned: the §2 structures
   // have no delete path, and an UPDATE touching an indexed key is rare
   // enough that a rebuild is the simplest correct maintenance.
@@ -929,10 +911,13 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
         BuildIndex(&table, stmt.table_name, rebuild.first, rebuild.second));
   }
   // UPDATE changes no schema, cardinality or index set, so the catalog
-  // stays valid; only an index rebuild must be re-registered. Column
-  // value statistics go stale until the next invalidation — the standard
-  // stale-statistics trade every optimizer makes (a per-update stats
-  // rescan would serialize the whole session mix behind catalog_mu_).
+  // stays valid; only an index rebuild must be re-registered. The values
+  // folded above reach the catalog at the next invalidation, so its
+  // statistics lag until then — the standard stale-statistics trade every
+  // optimizer makes (rebuilding per point update would serialize the
+  // session mix behind catalog_mu_). Once visible, min/max cover every
+  // live value; the distinct count may over-count, since the accumulator
+  // cannot un-count a value the UPDATE overwrote.
   if (!rebuilds.empty()) InvalidateCatalog();
   // Reuse-cache invalidation (DESIGN.md §15) runs under the exclusive
   // latch, before any reader can plan against the new data: the version

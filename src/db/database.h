@@ -293,6 +293,11 @@ class Database : public IndexProvider {
   struct TableHolder {
     Relation relation;
     std::map<std::string, IndexHolder> indexes;
+    /// Column statistics kept current on the write path: Insert folds each
+    /// row it appends, UPDATE folds the values it assigns. Written under
+    /// the exclusive latch; read by the catalog rebuild under the shared
+    /// latch plus catalog_mu_.
+    TableStatsBuilder stats;
   };
 
   Status BuildIndex(TableHolder* table, const std::string& table_name,
@@ -303,12 +308,12 @@ class Database : public IndexProvider {
   }
   AccessModelParams ModelFor(const TableHolder& table, int column) const;
 
-  /// True when `sql`'s first keyword is CREATE / INSERT / UPDATE — decides
-  /// which latch mode ExecuteSql takes (must agree with the parser's
-  /// statement dispatch).
-  static bool IsWriteSql(const std::string& sql);
-  StatusOr<SqlResult> ExecuteSqlReadLocked(const std::string& sql);
-  StatusOr<SqlResult> ExecuteSqlWriteLocked(const struct ParsedStatement& stmt);
+  /// Runs a parsed SELECT / EXPLAIN [ANALYZE]; caller holds the shared
+  /// latch.
+  StatusOr<SqlResult> ExecuteSqlReadLocked(const struct ParsedStatement& stmt);
+  /// Applies a parsed CREATE TABLE / INSERT / UPDATE; caller holds the
+  /// exclusive latch.
+  StatusOr<SqlResult> ExecuteSqlWriteLocked(struct ParsedStatement stmt);
   Status ExecuteUpdateLocked(const struct ParsedStatement& stmt,
                              int64_t* rows_affected);
   StatusOr<QueryResult> ExecuteWith(const Query& query, ExecContext* ctx);
@@ -332,12 +337,16 @@ class Database : public IndexProvider {
   std::map<std::string, TableHolder> tables_;
   Catalog catalog_;
   std::atomic<bool> catalog_dirty_{true};
+  /// catalog.rebuilds, and catalog.rows_scanned: rows the rebuilds read to
+  /// compute statistics (0, since they copy each table's `stats`).
+  MetricCounter* catalog_rebuilds_;
+  MetricCounter* catalog_rows_scanned_;
 
   /// §10 catalog/table latch: read statements shared, write statements
   /// exclusive. The public embedded APIs do not take it (single-threaded
   /// by contract); ExecuteSql does.
   mutable std::shared_mutex latch_;
-  /// Serializes the lazy catalog rebuild among concurrent readers.
+  /// Serializes the catalog rebuild among concurrent readers.
   std::mutex catalog_mu_;
 
   // §5 plane.

@@ -664,9 +664,16 @@ class Parser {
     MMDB_RETURN_IF_ERROR(ExpectKeyword("INTO"));
     MMDB_ASSIGN_OR_RETURN(stmt.table_name, ExpectIdent("a table name"));
     MMDB_RETURN_IF_ERROR(ExpectKeyword("VALUES"));
+    // The rows move into the table as parsed: reserve the table's arity so
+    // they carry no spare capacity (push_back alone would leave some).
+    size_t arity = 0;
+    if (auto table = catalog_.Lookup(stmt.table_name); table.ok()) {
+      arity = static_cast<size_t>((*table)->relation->schema().num_columns());
+    }
     do {
       MMDB_RETURN_IF_ERROR(ExpectSymbol("("));
       Row row;
+      row.reserve(arity);
       do {
         MMDB_ASSIGN_OR_RETURN(Value v, ParseLiteral());
         row.push_back(std::move(v));

@@ -1,13 +1,79 @@
 #include "optimizer/catalog.h"
 
-#include <unordered_set>
-
-#include "common/hash.h"
-
 namespace mmdb {
+
+void TableStatsBuilder::HashSet::Insert(uint64_t h) {
+  if (h == 0) {
+    has_zero_ = true;
+    return;
+  }
+  if ((used_ + 1) * 8 > static_cast<int64_t>(slots_.size()) * 7) Grow();
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = h & mask;; i = (i + 1) & mask) {
+    if (slots_[i] == h) return;
+    if (slots_[i] == 0) {
+      slots_[i] = h;
+      ++used_;
+      return;
+    }
+  }
+}
+
+void TableStatsBuilder::HashSet::Grow() {
+  std::vector<uint64_t> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : old.size() * 2, 0);
+  const size_t mask = slots_.size() - 1;
+  for (uint64_t h : old) {
+    if (h == 0) continue;
+    size_t i = h & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = h;
+  }
+}
+
+void TableStatsBuilder::Add(const Row& row) {
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    AddValue(static_cast<int>(c), row[c]);
+  }
+}
+
+void TableStatsBuilder::AddValue(int column, const Value& v) {
+  Column& col = columns_[static_cast<size_t>(column)];
+  col.distinct.Insert(HashValue(v));
+  ColumnStats& cs = col.stats;
+  if (!cs.has_min_max) {
+    cs.min_value = v;
+    cs.max_value = v;
+    cs.has_min_max = true;
+  } else {
+    if (CompareValues(v, cs.min_value) < 0) cs.min_value = v;
+    if (CompareValues(v, cs.max_value) > 0) cs.max_value = v;
+  }
+}
+
+std::vector<ColumnStats> TableStatsBuilder::ColumnStatistics() const {
+  std::vector<ColumnStats> out;
+  out.reserve(columns_.size());
+  for (const Column& col : columns_) {
+    out.push_back(col.stats);
+    out.back().num_distinct = col.distinct.size();
+  }
+  return out;
+}
 
 Status Catalog::RegisterTable(const std::string& name,
                               const Relation* relation) {
+  if (tables_.count(name)) {
+    return Status::AlreadyExists("table " + name);
+  }
+  TableStatsBuilder stats(relation->schema().num_columns());
+  for (const Row& row : relation->rows()) stats.Add(row);
+  rows_scanned_ += relation->num_tuples();
+  return RegisterTable(name, relation, stats);
+}
+
+Status Catalog::RegisterTable(const std::string& name, const Relation* relation,
+                              const TableStatsBuilder& stats) {
   if (tables_.count(name)) {
     return Status::AlreadyExists("table " + name);
   }
@@ -16,25 +82,10 @@ Status Catalog::RegisterTable(const std::string& name,
   entry.relation = relation;
   entry.stats.num_tuples = relation->num_tuples();
   entry.stats.num_pages = relation->NumPages(page_size_);
-
-  const Schema& schema = relation->schema();
-  entry.stats.columns.resize(static_cast<size_t>(schema.num_columns()));
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    ColumnStats& cs = entry.stats.columns[static_cast<size_t>(c)];
-    std::unordered_set<uint64_t> distinct;
-    for (const Row& row : relation->rows()) {
-      const Value& v = row[static_cast<size_t>(c)];
-      distinct.insert(HashValue(v));
-      if (!cs.has_min_max) {
-        cs.min_value = v;
-        cs.max_value = v;
-        cs.has_min_max = true;
-      } else {
-        if (CompareValues(v, cs.min_value) < 0) cs.min_value = v;
-        if (CompareValues(v, cs.max_value) > 0) cs.max_value = v;
-      }
-    }
-    cs.num_distinct = static_cast<int64_t>(distinct.size());
+  entry.stats.columns = stats.ColumnStatistics();
+  if (static_cast<int>(entry.stats.columns.size()) !=
+      relation->schema().num_columns()) {
+    return Status::InvalidArgument("statistics arity mismatch for " + name);
   }
   tables_[name] = std::move(entry);
   return Status::OK();

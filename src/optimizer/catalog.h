@@ -1,6 +1,7 @@
 #ifndef MMDB_OPTIMIZER_CATALOG_H_
 #define MMDB_OPTIMIZER_CATALOG_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,6 +36,50 @@ struct IndexInfo {
   IndexKind kind;
 };
 
+/// Folds rows into per-column statistics: min/max and an exact distinct
+/// count. Distinct values are counted by their 64-bit HashValue in a flat
+/// open-addressing set (8 B per slot, no allocation per entry), the same
+/// quantity a full rescan counts. Catalog::RegisterTable scans a relation
+/// through one; Database keeps one per table and folds each row as it is
+/// appended, so a catalog rebuild reads statistics instead of rows.
+/// There is no delete: a value folded in stays counted.
+class TableStatsBuilder {
+ public:
+  TableStatsBuilder() = default;
+  explicit TableStatsBuilder(int num_columns)
+      : columns_(static_cast<size_t>(num_columns)) {}
+
+  /// Folds every column of `row` (one value per column, schema types).
+  void Add(const Row& row);
+  /// Folds one value into `column` alone: widens its min/max and counts
+  /// its hash.
+  void AddValue(int column, const Value& v);
+
+  /// The per-column statistics folded so far.
+  std::vector<ColumnStats> ColumnStatistics() const;
+
+ private:
+  /// Set of 64-bit hashes: linear probing over a power-of-two table that
+  /// doubles at 7/8 load. Slot value 0 marks an empty slot, so the hash 0
+  /// (HashValue of INT64 0) is tracked by a flag instead.
+  class HashSet {
+   public:
+    void Insert(uint64_t h);
+    int64_t size() const { return used_ + (has_zero_ ? 1 : 0); }
+
+   private:
+    void Grow();
+    std::vector<uint64_t> slots_;
+    int64_t used_ = 0;
+    bool has_zero_ = false;
+  };
+  struct Column {
+    ColumnStats stats;
+    HashSet distinct;
+  };
+  std::vector<Column> columns_;
+};
+
 /// A registered table: the memory-resident relation plus its statistics.
 struct TableEntry {
   std::string name;
@@ -52,6 +97,12 @@ class Catalog {
   /// Registers `relation` under `name`, computing full column statistics
   /// (one pass; exact distinct counts — the relations are memory resident).
   Status RegisterTable(const std::string& name, const Relation* relation);
+
+  /// Registers `relation` with column statistics folded elsewhere (a
+  /// write path that kept `stats` current); scans no rows. ||R|| and |R|
+  /// are still read off the relation.
+  Status RegisterTable(const std::string& name, const Relation* relation,
+                       const TableStatsBuilder& stats);
 
   StatusOr<const TableEntry*> Lookup(const std::string& name) const;
 
@@ -71,8 +122,12 @@ class Catalog {
   int64_t page_size() const { return page_size_; }
   std::vector<std::string> TableNames() const;
 
+  /// Rows read by the scanning RegisterTable since construction.
+  int64_t rows_scanned() const { return rows_scanned_; }
+
  private:
   int64_t page_size_;
+  int64_t rows_scanned_ = 0;
   std::map<std::string, TableEntry> tables_;
 };
 
